@@ -107,7 +107,7 @@ struct TierResult {
 };
 
 /// Replay `walks` on a fresh shared simulator, one injection every `gap`,
-/// through the overlay's transport (tier 0: stateless; loaded tiers: the
+/// through the overlay's transport (tier 0: zero-queue; loaded tiers: the
 /// queueing network, freshly installed so congestion stats cover exactly
 /// this tier).
 TierResult run_tier(overlay::RoutedOverlay& overlay,
@@ -119,7 +119,8 @@ TierResult run_tier(overlay::RoutedOverlay& overlay,
     overlay.uninstall_queueing();
   }
   net::Transport& transport = overlay.transport();
-  const std::uint32_t bytes = transport.default_message_bytes();
+  net::Transport::WalkOptions options;
+  options.bytes = transport.default_message_bytes();
   TierResult r{sim::MetricSet(
                    std::log2(static_cast<double>(overlay.overlay_size()))),
                net::CongestionStats{}, 0.0};
@@ -127,7 +128,7 @@ TierResult run_tier(overlay::RoutedOverlay& overlay,
   for (std::size_t i = 0; i < walks.size(); ++i) {
     sim.schedule_at(static_cast<double>(i) * gap, [&, i] {
       transport.deliver_walk(
-          sim, walks[i], bytes,
+          sim, walks[i], options,
           [&r](const sim::QueryStats& s) { r.queries.add(s); });
     });
   }
@@ -315,11 +316,10 @@ GoodputTier run_goodput_tier(core::ArmadaIndex& index,
     obs::publish(reg, "net", net.congestion());
     double ingress = 0.0;
     double egress = 0.0;
-    if (const net::Queueing* q = transport.queueing(); q != nullptr) {
-      for (fissione::PeerId p : net.alive_peers()) {
-        ingress += static_cast<double>(q->ingress_backlog(sim, p));
-        egress += static_cast<double>(q->egress_backlog(sim, p));
-      }
+    const net::Queueing& q = transport.queueing();
+    for (fissione::PeerId p : net.alive_peers()) {
+      ingress += static_cast<double>(q.ingress_backlog(sim, p));
+      egress += static_cast<double>(q.egress_backlog(sim, p));
     }
     reg.set("net.ingress_backlog", ingress);
     reg.set("net.egress_backlog", egress);

@@ -15,11 +15,11 @@ namespace {
 constexpr std::array<int, kNumTrafficClasses> kStrictRank = {
     /*kQuery=*/3, /*kRepair=*/0, /*kHandoff=*/1, /*kHedge=*/2};
 
-/// Outstanding entries in a backlog deque at `now`. Completion instants
-/// are monotone under kFifo but may interleave across classes under the
-/// weighted/strict disciplines, so count exactly rather than assuming a
-/// sorted prefix.
-std::size_t outstanding(const std::deque<sim::Time>& backlog, sim::Time now) {
+/// Outstanding entries in a backlog at `now`. Completion instants
+/// are monotone under kFifo but may interleave across classes under
+/// kStrict, so count exactly rather than assuming a sorted prefix.
+std::size_t outstanding(const std::vector<sim::Time>& backlog,
+                        sim::Time now) {
   return static_cast<std::size_t>(std::count_if(
       backlog.begin(), backlog.end(),
       [now](sim::Time until) { return until > now; }));
@@ -31,72 +31,32 @@ Queueing::Queueing(QueueingConfig config) : config_(config) {
   ARMADA_CHECK(config_.service_rate > 0.0);
   ARMADA_CHECK(config_.link_bandwidth > 0.0);
   ARMADA_CHECK(config_.coalesce_window >= 0.0);
-  for (const double w : config_.class_weights) {
-    ARMADA_CHECK_MSG(w > 0.0, "class weights must be positive");
-  }
   ARMADA_CHECK(config_.flow.backoff >= 0.0);
   ARMADA_CHECK(config_.flow.hedge_delay >= 0.0);
   ARMADA_CHECK(config_.flow.hedge_threshold >= 0.0);
 }
 
-std::uint64_t Queueing::sent() const {
-  return current_ < states_.size() ? states_[current_].sent : 0;
+std::uint64_t Queueing::sent(const sim::Simulator& sim) const {
+  const SimState* state = find_state(sim);
+  return state == nullptr ? 0 : state->sent;
 }
 
-std::uint64_t Queueing::delivered() const {
-  return current_ < states_.size() ? states_[current_].live->delivered : 0;
+std::uint64_t Queueing::delivered(const sim::Simulator& sim) const {
+  const SimState* state = find_state(sim);
+  return state == nullptr ? 0 : state->delivered;
 }
 
-Queueing::SimState& Queueing::state_for(const sim::Simulator& sim) {
-  SimState* found = nullptr;
-  SimState* lru_drained = nullptr;
-  SimState* lru_any = nullptr;
-  for (SimState& state : states_) {
-    if (state.sim_id == sim.id()) {
-      found = &state;
-      break;
-    }
-    // A drained state (every reservation delivered) is inert: all its
-    // busy-until marks lie in the past, so evicting it is equivalent to a
-    // clean slate. Prefer those victims, so a live simulator with pending
-    // reservations — the shared churn/congestion simulator — is never
-    // reset underneath its own traffic by a burst of per-query
-    // simulators.
-    const bool drained = state.sent == state.live->delivered;
-    if (drained && (lru_drained == nullptr ||
-                    state.touched < lru_drained->touched)) {
-      lru_drained = &state;
-    }
-    if (lru_any == nullptr || state.touched < lru_any->touched) {
-      lru_any = &state;
-    }
+Queueing::SimState& Queueing::state_for(sim::Simulator& sim) {
+  if (void* state = sim.attachment(this)) {
+    return *static_cast<SimState*>(state);
   }
-  if (found == nullptr) {
-    if (states_.size() < kMaxSimStates) {
-      states_.emplace_back();
-      found = &states_.back();
-    } else {
-      found = lru_drained != nullptr ? lru_drained : lru_any;
-      // Pending deliveries of a forced eviction keep their orphaned Live
-      // counter.
-      *found = SimState{};
-    }
-    found->sim_id = sim.id();
-    found->live = std::make_shared<Live>();
-  }
-  found->touched = ++touch_counter_;
-  current_ = static_cast<std::size_t>(found - states_.data());
-  return *found;
+  return *static_cast<SimState*>(
+      sim.attach(shared_from_this(), std::make_shared<SimState>()));
 }
 
 const Queueing::SimState* Queueing::find_state(
     const sim::Simulator& sim) const {
-  for (const SimState& state : states_) {
-    if (state.sim_id == sim.id()) {
-      return &state;
-    }
-  }
-  return nullptr;
+  return static_cast<const SimState*>(sim.attachment(this));
 }
 
 Queueing::NodeState& Queueing::node(SimState& state, NodeId id) {
@@ -112,11 +72,12 @@ Queueing::LinkState& Queueing::link(SimState& state, NodeId from, NodeId to) {
   return state.links[key];
 }
 
-void Queueing::push_backlog(std::deque<sim::Time>& backlog, sim::Time now,
+void Queueing::push_backlog(std::vector<sim::Time>& backlog, sim::Time now,
                             sim::Time until, std::uint64_t* peak) {
-  while (!backlog.empty() && backlog.front() <= now) {
-    backlog.pop_front();
-  }
+  // Drop the completed prefix (up to the first entry still outstanding).
+  backlog.erase(backlog.begin(),
+                std::find_if(backlog.begin(), backlog.end(),
+                             [now](sim::Time t) { return t > now; }));
   backlog.push_back(until);
   *peak = std::max(*peak, static_cast<std::uint64_t>(backlog.size()));
 }
@@ -131,20 +92,6 @@ sim::Time Queueing::reserve_server(
       // One shared FIFO — the pre-class engine, bit for bit.
       const sim::Time done = std::max(now, busy_until) + service;
       busy_until = done;
-      return done;
-    }
-    case QueueingConfig::Scheduling::kWeighted: {
-      // Per-class virtual clock: the class owns service_rate x share of
-      // the server, so its completions advance at service / share per
-      // message regardless of other classes' backlog.
-      double total = 0.0;
-      for (const double w : config_.class_weights) {
-        total += w;
-      }
-      const double share = config_.class_weights[c] / total;
-      const sim::Time done = std::max(now, class_until[c]) + service / share;
-      class_until[c] = done;
-      busy_until = std::max(busy_until, done);
       return done;
     }
     case QueueingConfig::Scheduling::kStrict: {
@@ -195,15 +142,19 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   // e.g. crash repair behind its detection timeout, must not capture
   // ready-now traffic). Otherwise open a new batch that departs a full
   // window after this message is ready. A zero window disables batching
-  // (each message is its own departure).
-  LinkState& wire = link(state, from, to);
+  // (each message is its own departure). Link state is kept only when a
+  // window or a bandwidth prices the link, so a zero-queue send touches no
+  // map and allocates nothing.
+  const bool coalescing = config_.coalesce_window > 0.0;
+  const bool limited = config_.link_bandwidth != kUnlimitedRate;
+  LinkState* wire = coalescing || limited ? &link(state, from, to) : nullptr;
   sim::Time departure = ready;
-  if (config_.coalesce_window > 0.0 && wire.batch_occupancy > 0 &&
-      wire.batch_departure >= ready &&
-      wire.batch_departure <= ready + config_.coalesce_window) {
-    departure = wire.batch_departure;
+  if (coalescing && wire->batch_occupancy > 0 &&
+      wire->batch_departure >= ready &&
+      wire->batch_departure <= ready + config_.coalesce_window) {
+    departure = wire->batch_departure;
     // Shift this batch one occupancy bucket up (the last bucket saturates).
-    const std::uint32_t occ = ++wire.batch_occupancy;
+    const std::uint32_t occ = ++wire->batch_occupancy;
     const std::size_t last = CongestionStats::kOccupancyBuckets - 1;
     const std::size_t old_bucket = std::min<std::size_t>(occ - 2, last);
     const std::size_t new_bucket = std::min<std::size_t>(occ - 1, last);
@@ -212,22 +163,22 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
       ++stats_.batch_occupancy[new_bucket];
     }
   } else {
-    if (config_.coalesce_window > 0.0) {
+    if (coalescing) {
       departure = ready + config_.coalesce_window;
+      wire->batch_departure = departure;
+      wire->batch_occupancy = 1;
     }
-    wire.batch_departure = departure;
-    wire.batch_occupancy = 1;
     ++stats_.batches;
     ++stats_.batch_occupancy[0];
   }
 
   // Transmission: bytes serialize behind earlier traffic on this link.
   sim::Time arrival = departure + propagation;
-  if (config_.link_bandwidth != kUnlimitedRate && bytes > 0) {
+  if (limited && bytes > 0) {
     const sim::Time tx =
         static_cast<sim::Time>(bytes) / config_.link_bandwidth;
-    const sim::Time wire_start = std::max(departure, wire.wire_busy_until);
-    wire.wire_busy_until = wire_start + tx;
+    const sim::Time wire_start = std::max(departure, wire->wire_busy_until);
+    wire->wire_busy_until = wire_start + tx;
     arrival = wire_start + tx + propagation;
   }
   stats_.bytes_on_wire += bytes;
@@ -256,8 +207,8 @@ sim::Time Queueing::send(sim::Simulator& sim, NodeId from, NodeId to,
   stats_.queue_delay_max = std::max(stats_.queue_delay_max, queue_delay);
 
   sim.schedule_at(delivered_at,
-                  [live = state.live, cb = std::move(on_arrival), queue_delay] {
-                    ++live->delivered;
+                  [state = &state, cb = std::move(on_arrival), queue_delay] {
+                    ++state->delivered;
                     if (cb) {
                       cb(queue_delay);
                     }

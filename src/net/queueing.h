@@ -22,11 +22,7 @@
 //
 // Traffic classes and priority (the closed-loop PR): every send carries a
 // TrafficClass. Under the default kFifo discipline the class is pure
-// accounting and timing is bit-identical for any mix. kWeighted gives each
-// class a dedicated share of every node server (per-class virtual clocks at
-// service_rate x weight share — each class is isolated, so repair keeps its
-// share no matter how deep the query class queues; the price is that the
-// discipline is not work-conserving across classes). kStrict serializes a
+// accounting and timing is bit-identical for any mix. kStrict serializes a
 // class behind its own tier and every higher tier only: repair never waits
 // for query backlog. Because reservations already granted to a lower tier
 // are never revoked, a higher-tier burst may transiently overbook a server
@@ -45,26 +41,23 @@
 // class identically and reproduces every pre-existing golden bitwise.
 //
 // The zero-queue configuration (unlimited rates, zero window, zero-size
-// messages) degenerates structurally to the stateless path: every
-// reservation is a no-op and send() schedules exactly one event at
-// now + propagation — the same event, at the same time, in the same
-// scheduling order as Transport's stateless deliver — so every
-// pre-existing golden is reproduced bitwise.
+// messages) prices a message as pure propagation: every reservation is a
+// no-op and send() schedules exactly one event at now + propagation, with
+// no per-message allocation. Transport always holds an engine and uses this
+// configuration when none is installed, so there is one delivery path.
 //
-// Queue state is scoped per sim::Simulator (tracked by Simulator::id()):
-// the first send on a new simulator sees empty queues, while the cumulative
-// CongestionStats keep aggregating across simulators. A bounded set of
-// recent simulators' states is retained (kMaxSimStates, LRU-evicted), so a
-// long-lived shared simulator keeps its backlog and open batches intact
-// while ephemeral per-query simulators (FrtSearch, the DCF-CAN flood spin
-// one up per query) come and go — those model *intra-query* contention,
-// and drivers sharing one simulator (churn repair, bench_congestion's
-// open-loop injector) model competition between concurrent traffic.
+// Queue state is per simulation: each engine keeps one SimState in a slot
+// of every sim::Simulator it has sent on (see Simulator::attach). The first
+// send on a new simulator sees empty queues, the state lives exactly as
+// long as that simulator, and the cumulative CongestionStats keep
+// aggregating across simulators. Ephemeral per-query simulators (FrtSearch,
+// the DCF-CAN flood) therefore model *intra-query* contention, while
+// drivers sharing one simulator (churn repair, bench_congestion's open-loop
+// injector) model competition between concurrent traffic.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -114,17 +107,13 @@ struct FlowControlConfig {
 
 /// Knobs of the queueing network. The default-constructed config is the
 /// zero-queue configuration: unlimited service and bandwidth, no
-/// coalescing, zero-size messages — bitwise the stateless transport.
+/// coalescing, zero-size messages — pure propagation delay.
 struct QueueingConfig {
   /// Per-node service scheduling across traffic classes.
   enum class Scheduling : std::uint8_t {
     /// One shared FIFO per server; classes are accounting-only. Default —
     /// bit-identical to the pre-class engine for any traffic mix.
     kFifo,
-    /// Per-class virtual clocks at service_rate x (weight / total weight):
-    /// each class owns its share of every server, isolated from the
-    /// others' backlog (not work-conserving across classes).
-    kWeighted,
     /// Strict priority kRepair > kHandoff > kHedge > kQuery: a class
     /// serializes behind its own tier and all higher tiers only.
     kStrict,
@@ -144,18 +133,14 @@ struct QueueingConfig {
   std::uint32_t default_message_bytes = 0;
 
   Scheduling scheduling = Scheduling::kFifo;
-  /// Per-class service shares under kWeighted (indexed by class_index;
-  /// ignored otherwise). Must be positive.
-  std::array<double, kNumTrafficClasses> class_weights{1.0, 1.0, 1.0, 1.0};
 
   /// Sender-side closed-loop knobs (all off by default).
   FlowControlConfig flow;
 
-  /// True when the config degenerates to the stateless transport: nothing
-  /// this engine prices — service, bandwidth, coalescing, or message size
-  /// (bytes feed bytes_on_wire accounting even when bandwidth is
-  /// unlimited, so a config that only sizes messages must still route
-  /// through the sized path) — is active.
+  /// True when nothing this engine prices — service, bandwidth,
+  /// coalescing, or message size (bytes feed bytes_on_wire accounting even
+  /// when bandwidth is unlimited) — is active: every message then costs
+  /// exactly its propagation delay.
   bool zero_queue() const {
     return service_rate == kUnlimitedRate &&
            link_bandwidth == kUnlimitedRate && coalesce_window == 0.0 &&
@@ -163,22 +148,24 @@ struct QueueingConfig {
   }
 };
 
-/// The per-transport queueing engine. Owned (behind Transport) by every
-/// overlay once install_queueing() ran; all mutating traffic goes through
-/// send().
-class Queueing {
+/// The per-transport queueing engine. Transport always owns one (through a
+/// std::shared_ptr, which the per-simulator state slots rely on); all
+/// mutating traffic goes through send().
+class Queueing : public std::enable_shared_from_this<Queueing> {
  public:
   explicit Queueing(QueueingConfig config);
 
   const QueueingConfig& config() const { return config_; }
   const CongestionStats& stats() const { return stats_; }
 
-  /// Messages sent on the most recently served simulator whose delivery
-  /// event has not yet run. sent() == delivered() + in_flight() at every
-  /// event boundary (message conservation); all zero before any send.
-  std::uint64_t sent() const;
-  std::uint64_t delivered() const;
-  std::uint64_t in_flight() const { return sent() - delivered(); }
+  /// Messages this engine sent on `sim`, those whose delivery event has
+  /// run, and the rest. sent == delivered + in_flight at every event
+  /// boundary (message conservation); all zero before any send on `sim`.
+  std::uint64_t sent(const sim::Simulator& sim) const;
+  std::uint64_t delivered(const sim::Simulator& sim) const;
+  std::uint64_t in_flight(const sim::Simulator& sim) const {
+    return sent(sim) - delivered(sim);
+  }
 
   /// Reserve the path u -> v for one `bytes`-sized message of class `cls`
   /// enqueued at max(sim.now(), not_before), schedule `on_arrival` (may be
@@ -221,48 +208,39 @@ class Queueing {
   struct NodeState {
     sim::Time egress_busy_until = 0.0;
     sim::Time ingress_busy_until = 0.0;
-    /// Per-class server horizons used by the kWeighted (virtual clocks)
-    /// and kStrict (priority tiers) disciplines; untouched under kFifo.
+    /// Per-class server horizons of the kStrict priority tiers; untouched
+    /// under kFifo.
     std::array<sim::Time, kNumTrafficClasses> egress_class_until{};
     std::array<sim::Time, kNumTrafficClasses> ingress_class_until{};
     /// Completion instants of outstanding reservations (FIFO backlog).
-    std::deque<sim::Time> egress_backlog;
-    std::deque<sim::Time> ingress_backlog;
+    /// Vectors, not deques: an empty one allocates nothing, and most of a
+    /// large overlay's nodes never queue.
+    std::vector<sim::Time> egress_backlog;
+    std::vector<sim::Time> ingress_backlog;
   };
   struct LinkState {
     sim::Time wire_busy_until = 0.0;
     sim::Time batch_departure = 0.0;
     std::uint32_t batch_occupancy = 0;  ///< 0 = no open batch
   };
-  /// Delivery events outlive state eviction (and possibly this engine's
-  /// simulator binding), so the delivered counter they bump lives behind a
-  /// shared handle; eviction orphans the old counter.
-  struct Live {
-    std::uint64_t delivered = 0;
-  };
-  /// The dynamic queue state of one simulator. States are retained for the
-  /// kMaxSimStates most recently served simulators: the shared simulator
-  /// of a churn/congestion run keeps its backlog and open batches while
-  /// per-query throwaway simulators cycle through the remaining slots.
+  /// The dynamic queue state of one simulation, kept in a slot of its
+  /// sim::Simulator.
   struct SimState {
-    std::uint64_t sim_id = 0;
-    std::uint64_t touched = 0;  ///< LRU stamp
     std::uint64_t sent = 0;
-    std::shared_ptr<Live> live;
+    std::uint64_t delivered = 0;
     std::vector<NodeState> nodes;
     std::unordered_map<std::uint64_t, LinkState> links;
   };
-  static constexpr std::size_t kMaxSimStates = 4;
 
-  /// The state bound to `sim`, creating (and LRU-evicting) as needed.
-  SimState& state_for(const sim::Simulator& sim);
-  /// Lookup without creating or touching LRU order (closed-loop probes).
+  /// This engine's state on `sim`, created on first use.
+  SimState& state_for(sim::Simulator& sim);
+  /// Lookup without creating (probes); null before the first send.
   const SimState* find_state(const sim::Simulator& sim) const;
   static NodeState& node(SimState& state, NodeId id);
   static LinkState& link(SimState& state, NodeId from, NodeId to);
   /// Record one more outstanding reservation completing at `until` and
   /// update the corresponding backlog peak.
-  void push_backlog(std::deque<sim::Time>& backlog, sim::Time now,
+  void push_backlog(std::vector<sim::Time>& backlog, sim::Time now,
                     sim::Time until, std::uint64_t* peak);
   /// Reserve one service slot of class `cls` on the server described by
   /// (busy_until, class_until) under the configured discipline; returns
@@ -274,9 +252,6 @@ class Queueing {
 
   QueueingConfig config_;
   CongestionStats stats_;
-  std::vector<SimState> states_;
-  std::size_t current_ = static_cast<std::size_t>(-1);  ///< index into states_
-  std::uint64_t touch_counter_ = 0;
 };
 
 }  // namespace armada::net

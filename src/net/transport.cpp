@@ -7,10 +7,11 @@
 
 namespace armada::net {
 
-Transport::Transport() : model_(std::make_shared<ConstantHop>()) {}
+Transport::Transport() : Transport(std::make_shared<ConstantHop>()) {}
 
 Transport::Transport(std::shared_ptr<const LatencyModel> model)
-    : model_(std::move(model)) {
+    : model_(std::move(model)),
+      queueing_(std::make_shared<Queueing>(QueueingConfig{})) {
   ARMADA_CHECK(model_ != nullptr);
 }
 
@@ -27,39 +28,6 @@ Time Transport::path_latency(const std::vector<NodeId>& path) const {
   return total;
 }
 
-void Transport::deliver(sim::Simulator& sim, NodeId from, NodeId to,
-                        std::function<void()> on_arrival) const {
-  ARMADA_CHECK_MSG(!queueing_active(),
-                   "stateless deliver would bypass the installed queueing "
-                   "network; use the sized overload");
-  if (trace_ != nullptr) [[unlikely]] {
-    deliver_stateless_traced(sim, from, to, std::move(on_arrival));
-    return;
-  }
-  sim.schedule_after(link(from, to), std::move(on_arrival));
-}
-
-void Transport::deliver_stateless_traced(
-    sim::Simulator& sim, NodeId from, NodeId to,
-    std::function<void()> on_arrival) const {
-  const Time now = sim.now();
-  const std::uint64_t span =
-      trace_->span_begin(from, to, 0, TrafficClass::kQuery, now, now);
-  if (span == 0) {
-    sim.schedule_after(link(from, to), std::move(on_arrival));
-    return;
-  }
-  trace_->span_delivered(span, now + link(from, to), 0.0);
-  sim.schedule_after(
-      link(from, to),
-      [rec = trace_.get(), span, cb = std::move(on_arrival)] {
-        const obs::TraceRecorder::Scope scope = rec->enter(span);
-        if (cb) {
-          cb();
-        }
-      });
-}
-
 Time Transport::deliver(sim::Simulator& sim, NodeId from, NodeId to,
                         std::uint32_t bytes, QueuedArrival on_arrival,
                         Time not_before, TrafficClass cls) {
@@ -70,24 +38,6 @@ Time Transport::deliver(sim::Simulator& sim, NodeId from, NodeId to,
   }
   return deliver_impl(sim, from, to, bytes, std::move(on_arrival), not_before,
                       cls);
-}
-
-Time Transport::deliver_impl(sim::Simulator& sim, NodeId from, NodeId to,
-                             std::uint32_t bytes, QueuedArrival on_arrival,
-                             Time not_before, TrafficClass cls) {
-  if (queueing_ != nullptr) {
-    return queueing_->send(sim, from, to, bytes, link(from, to),
-                           std::move(on_arrival), not_before, cls);
-  }
-  // Fast path: the same single event, at the same instant, in the same
-  // scheduling order as the stateless overload — goldens stay bitwise.
-  const Time at = std::max(sim.now(), not_before) + link(from, to);
-  sim.schedule_at(at, [cb = std::move(on_arrival)] {
-    if (cb) {
-      cb(0.0);
-    }
-  });
-  return at;
 }
 
 Time Transport::deliver_traced(sim::Simulator& sim, NodeId from, NodeId to,
@@ -120,12 +70,6 @@ Time Transport::deliver_traced(sim::Simulator& sim, NodeId from, NodeId to,
   return at;
 }
 
-Time Transport::deliver(sim::Simulator& sim, NodeId from, NodeId to,
-                        QueuedArrival on_arrival) {
-  return deliver(sim, from, to, default_message_bytes(),
-                 std::move(on_arrival));
-}
-
 void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
                              const WalkOptions& options,
                              std::function<void(const sim::QueryStats&)> done) {
@@ -153,7 +97,7 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
       }
       const NodeId u = path[i];
       const NodeId v = path[i + 1];
-      const Queueing* queueing = transport->queueing();
+      const QueueingConfig& config = transport->queueing_->config();
       if (options.flow_control &&
           transport->should_shed(*sim, v, options.cls)) {
         // Admission refused: shed the whole walk. The hops already spent
@@ -190,10 +134,9 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
       const Time send_time = std::max(sim->now(), not_before);
       const Time primary = transport->deliver(*sim, u, v, options.bytes,
                                               arrive, not_before, options.cls);
-      if (options.flow_control && queueing != nullptr &&
-          queueing->config().flow.hedge_enabled()) {
+      if (options.flow_control && config.flow.hedge_enabled()) {
         const Time primary_delay = primary - send_time - transport->link(u, v);
-        if (primary_delay > queueing->config().flow.hedge_threshold) {
+        if (primary_delay > config.flow.hedge_threshold) {
           // Hedge in the kHedge lane: under priority scheduling the
           // duplicate jumps the query backlog and can land first.
           if (transport->trace_ != nullptr) {
@@ -204,7 +147,7 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
           stats.bytes_on_wire += options.bytes;
           const Time hedge = transport->deliver(
               *sim, u, v, options.bytes, arrive,
-              sim->now() + queueing->config().flow.hedge_delay,
+              sim->now() + config.flow.hedge_delay,
               TrafficClass::kHedge);
           transport->queueing_->record_hedge(hedge < primary);
         }
@@ -230,23 +173,19 @@ void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
   walk->hop(walk, 0);
 }
 
-void Transport::deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
-                             std::uint32_t bytes,
-                             std::function<void(const sim::QueryStats&)> done) {
-  WalkOptions options;
-  options.bytes = bytes;
-  deliver_walk(sim, std::move(path), options, std::move(done));
-}
-
 void Transport::install_queueing(const QueueingConfig& config) {
   queueing_ = std::make_shared<Queueing>(config);
+  installed_ = true;
 }
 
-void Transport::uninstall_queueing() { queueing_.reset(); }
+void Transport::uninstall_queueing() {
+  queueing_ = std::make_shared<Queueing>(QueueingConfig{});
+  installed_ = false;
+}
 
 const CongestionStats& Transport::congestion() const {
   static const CongestionStats kNone;
-  return queueing_ == nullptr ? kNone : queueing_->stats();
+  return installed_ ? queueing_->stats() : kNone;
 }
 
 }  // namespace armada::net

@@ -10,20 +10,16 @@
 // ConstantHop(1.0), under which arrival times equal hop counts and every
 // pre-existing delay figure is reproduced bit-for-bit.
 //
-// Two delivery paths, split by constness so they cannot be confused:
-//
-//  * The `const` stateless path prices a message as pure propagation and
-//    CHECK-fails when an active (non-zero-queue) queueing config is
-//    installed — overlays cannot accidentally bypass the queues.
-//  * The sized path routes through the installed net::Queueing engine:
-//    egress/ingress service queues, per-link bandwidth and batching (see
-//    queueing.h), each message tagged with a TrafficClass. Without an
-//    installed config — or under the zero-queue config — it degenerates to
-//    exactly the stateless schedule, so goldens stay bitwise.
+// One delivery path: every message goes through the transport's
+// net::Queueing engine (egress/ingress service queues, per-link bandwidth
+// and batching — see queueing.h), tagged with a TrafficClass. The
+// transport always holds an engine; until install_queueing() it is the
+// zero-queue configuration, which prices a message as pure propagation,
+// so the paper's delay metric and every golden are reproduced bitwise.
 //
 // Senders close the loop through this seam too: `should_shed` /
-// `backoff_delay` surface the installed flow-control policy (no-ops
-// without queueing), and `deliver_walk` can run a walk flow-controlled —
+// `backoff_delay` surface the installed flow-control policy (no-ops under
+// the default config), and `deliver_walk` can run a walk flow-controlled —
 // backing off into saturated nodes, launching hedged duplicates in the
 // kHedge lane with first-arrival-wins cancellation, and shedding the walk
 // entirely (coverage 0) when the next hop is over the admission limit.
@@ -44,8 +40,8 @@ namespace armada::net {
 
 class Transport {
  public:
-  /// Arrival continuation of the queueing path; receives the message's
-  /// queueing delay (delivery - send - propagation; 0 on the fast path).
+  /// Arrival continuation of a delivery; receives the message's queueing
+  /// delay (delivery - send - propagation; 0 under the zero-queue config).
   using QueuedArrival = std::function<void(Time queue_delay)>;
 
   /// Knobs of one deliver_walk replay.
@@ -73,103 +69,79 @@ class Transport {
   /// exact-match routing: source first, owner last).
   Time path_latency(const std::vector<NodeId>& path) const;
 
-  /// Stateless delivery: schedules `on_arrival` on `sim` at
-  /// now() + link(from, to). Concurrent deliveries interleave by arrival
-  /// time, so "query latency" falls out as the latest arrival at any
-  /// destination. CHECK-fails when an active queueing config is installed
-  /// (use the sized overload, which feeds the queues).
-  void deliver(sim::Simulator& sim, NodeId from, NodeId to,
-               std::function<void()> on_arrival) const;
-
-  /// Queueing-aware delivery of a `bytes`-sized message of class `cls`
-  /// enqueued at max(now(), not_before); returns the delivery instant.
-  /// With no queueing installed the message costs link(from, to) and the
-  /// returned instant equals the stateless schedule bitwise; with a config
-  /// installed it is priced through the service queues, link bandwidth and
-  /// the per-link coalescer. `on_arrival` may be empty.
+  /// Deliver a `bytes`-sized message of class `cls` enqueued at
+  /// max(now(), not_before) through the engine; schedules `on_arrival`
+  /// (may be empty) at the delivery instant and returns that instant.
+  /// Under the zero-queue config the message costs exactly link(from, to),
+  /// so concurrent deliveries interleave by arrival time and "query
+  /// latency" falls out as the latest arrival at any destination.
   Time deliver(sim::Simulator& sim, NodeId from, NodeId to,
                std::uint32_t bytes, QueuedArrival on_arrival,
                Time not_before = 0.0,
                TrafficClass cls = TrafficClass::kQuery);
-  /// Same, with the installed config's default message size (0 bytes when
-  /// no queueing is installed).
-  Time deliver(sim::Simulator& sim, NodeId from, NodeId to,
-               QueuedArrival on_arrival);
 
-  /// Deliver a recorded walk (source..owner) hop by hop through the sized
-  /// path: each hop departs when the previous one was delivered. `done`
-  /// receives the walk's cost fragment — messages == delay == hop count,
-  /// latency = last delivery - start, plus the accumulated queue_delay and
-  /// bytes_on_wire — when the final hop lands (immediately for an empty or
-  /// single-node path). With options.flow_control the walk obeys the
-  /// installed policy: hops back off into backlogged targets, a hop whose
-  /// reserved queueing delay crosses the hedge threshold races a kHedge
-  /// duplicate (first arrival wins, the loser is cancelled and counted),
-  /// and a hop refused admission sheds the walk — `done` then reports
-  /// coverage 0 with the hops already spent.
+  /// Deliver a recorded walk (source..owner) hop by hop: each hop departs
+  /// when the previous one was delivered. `done` receives the walk's cost
+  /// fragment — messages == delay == hop count, latency = last delivery -
+  /// start, plus the accumulated queue_delay and bytes_on_wire — when the
+  /// final hop lands (immediately for an empty or single-node path). With
+  /// options.flow_control the walk obeys the installed policy: hops back
+  /// off into backlogged targets, a hop whose reserved queueing delay
+  /// crosses the hedge threshold races a kHedge duplicate (first arrival
+  /// wins, the loser is cancelled and counted), and a hop refused
+  /// admission sheds the walk — `done` then reports coverage 0 with the
+  /// hops already spent.
   void deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
                     const WalkOptions& options,
-                    std::function<void(const sim::QueryStats&)> done);
-  void deliver_walk(sim::Simulator& sim, std::vector<NodeId> path,
-                    std::uint32_t bytes,
                     std::function<void(const sim::QueryStats&)> done);
 
   // --- queueing network ------------------------------------------------------
   /// Install (or replace) the queueing network; congestion stats restart
   /// from zero. Copies of this transport share the engine.
   void install_queueing(const QueueingConfig& config);
+  /// Restore the default zero-queue engine.
   void uninstall_queueing();
-  bool queueing_installed() const { return queueing_ != nullptr; }
-  /// True when messages must take the sized path to be priced correctly:
-  /// an installed config that is not the zero-queue degenerate.
-  bool queueing_active() const {
-    return queueing_ != nullptr && !queueing_->config().zero_queue();
-  }
-  /// The installed engine (null when none) — introspection for tests.
-  const Queueing* queueing() const { return queueing_.get(); }
-  /// Aggregated congestion currency (all-zero when nothing is installed).
+  /// True when an installed config prices something beyond propagation.
+  bool queueing_active() const { return !queueing_->config().zero_queue(); }
+  /// The engine (the zero-queue default until install_queueing) —
+  /// introspection for tests and backlog probes.
+  const Queueing& queueing() const { return *queueing_; }
+  /// Aggregated congestion currency; all-zero until a config is installed.
   const CongestionStats& congestion() const;
-  /// The installed config's default message size; 0 without queueing.
+  /// The engine's default message size (0 under the default config).
   std::uint32_t default_message_bytes() const {
-    return queueing_ == nullptr ? 0u
-                                : queueing_->config().default_message_bytes;
+    return queueing_->config().default_message_bytes;
   }
 
   // --- closed-loop seam ------------------------------------------------------
   /// Admission decision for one more class-`cls` message to `to` under the
-  /// installed flow-control policy; always false without queueing.
+  /// installed flow-control policy; always false under the default config.
   bool should_shed(const sim::Simulator& sim, NodeId to,
                    TrafficClass cls) const {
-    return queueing_ != nullptr && queueing_->should_shed(sim, to, cls);
+    return queueing_->should_shed(sim, to, cls);
   }
-  /// Backoff the installed policy asks of a sender to `to`; 0 without
-  /// queueing or below the backlog threshold.
+  /// Backoff the installed policy asks of a sender to `to`; 0 under the
+  /// default config or below the backlog threshold.
   Time backoff_delay(const sim::Simulator& sim, NodeId to) const {
-    return queueing_ == nullptr ? 0.0 : queueing_->backoff_delay(sim, to);
+    return queueing_->backoff_delay(sim, to);
   }
   /// Account an admission-control shed in the shared congestion currency.
   void record_shed() {
-    if (queueing_ != nullptr) {
-      queueing_->record_shed();
-    }
+    queueing_->record_shed();
     if (trace_ != nullptr) {
       trace_->annotate(obs::kFlagShed);
     }
   }
   /// Account a replica reroute / cache hit by the replica subsystem in the
-  /// same currency (no-ops without queueing, like record_shed).
+  /// same currency.
   void record_replica_route() {
-    if (queueing_ != nullptr) {
-      queueing_->record_replica_route();
-    }
+    queueing_->record_replica_route();
     if (trace_ != nullptr) {
       trace_->annotate(obs::kFlagReplicaRoute);
     }
   }
   void record_cache_hit() {
-    if (queueing_ != nullptr) {
-      queueing_->record_cache_hit();
-    }
+    queueing_->record_cache_hit();
     if (trace_ != nullptr) {
       trace_->annotate(obs::kFlagCacheHit);
     }
@@ -190,20 +162,24 @@ class Transport {
   obs::TraceRecorder* trace() const { return trace_.get(); }
 
  private:
-  /// The untraced sized delivery (the former deliver body).
+  /// The untraced delivery.
   Time deliver_impl(sim::Simulator& sim, NodeId from, NodeId to,
                     std::uint32_t bytes, QueuedArrival on_arrival,
-                    Time not_before, TrafficClass cls);
-  /// Out-of-line traced twins: record the hop span, wrap the arrival in
-  /// the span's context, then run the common path.
+                    Time not_before, TrafficClass cls) {
+    return queueing_->send(sim, from, to, bytes, link(from, to),
+                           std::move(on_arrival), not_before, cls);
+  }
+  /// Out-of-line traced twin: record the hop span, wrap the arrival in the
+  /// span's context, then run the common path.
   Time deliver_traced(sim::Simulator& sim, NodeId from, NodeId to,
                       std::uint32_t bytes, QueuedArrival on_arrival,
                       Time not_before, TrafficClass cls);
-  void deliver_stateless_traced(sim::Simulator& sim, NodeId from, NodeId to,
-                                std::function<void()> on_arrival) const;
 
   std::shared_ptr<const LatencyModel> model_;
+  /// Never null: the zero-queue default until install_queueing.
   std::shared_ptr<Queueing> queueing_;
+  /// Whether install_queueing ran (congestion() reads zero until then).
+  bool installed_ = false;
   std::shared_ptr<obs::TraceRecorder> trace_;
 };
 

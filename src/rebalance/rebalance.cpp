@@ -132,11 +132,10 @@ void Rebalancer::sweep(sim::Simulator& sim) {
     bool load_hot;
   };
   std::vector<Donor> donors;
-  const net::Queueing* queueing = net_.transport().queueing();
+  const net::Queueing& queueing = net_.transport().queueing();
   for (PeerId p : net_.alive_peers()) {
     const double load = load_of(p);
-    const std::size_t backlog =
-        queueing != nullptr ? queueing->ingress_backlog(sim, p) : 0;
+    const std::size_t backlog = queueing.ingress_backlog(sim, p);
     const bool load_hot =
         config_.trigger_load > 0.0 && load >= config_.trigger_load;
     const bool backlog_hot =
@@ -275,9 +274,7 @@ void Rebalancer::sweep(sim::Simulator& sim) {
             continue;
           }
         } else {
-          const std::size_t backlog =
-              queueing != nullptr ? queueing->ingress_backlog(sim, a) : 0;
-          if (backlog >= donor.backlog) {
+          if (queueing.ingress_backlog(sim, a) >= donor.backlog) {
             continue;
           }
         }

@@ -95,9 +95,14 @@ void ReplicationManager::sync_holder(sim::Simulator& sim,
   // One batched transfer per peer actually holding region objects — each
   // primary, plus each delegation host serving a migrated slice of the
   // region; the version guard keeps arrivals of a superseded sync (re-sync
-  // raced by churn) from marking the newer one complete.
+  // raced by churn) from marking the newer one complete. A holder that
+  // hosts a migrated slice itself already has those objects: nothing
+  // travels for them.
   const auto send = [this, &sim, &transport, &holder, &prefix,
                      version](PeerId from, std::uint32_t count) {
+    if (from == holder.peer) {
+      return;
+    }
     const std::uint32_t bytes =
         transport.default_message_bytes() + config_.object_bytes * count;
     ++holder.pending;
@@ -144,7 +149,7 @@ void ReplicationManager::sync_holder(sim::Simulator& sim,
         });
   }
   if (holder.pending == 0) {
-    holder.synced = true;  // empty region: nothing to move
+    holder.synced = true;  // nothing to move: empty region or all local
   }
 }
 

@@ -135,7 +135,7 @@ core::RangeQueryResult DcfCan::query(NodeId issuer, double lo,
           // service, link bandwidth and a batch slot, so it must be sent
           // (arrive() drops it as a duplicate).
           if (!visited[n] || transport.queueing_active()) {
-            transport.deliver(sim, z, n,
+            transport.deliver(sim, z, n, transport.default_message_bytes(),
                               [&result, &arrive, n, z, depth](sim::Time qd) {
                                 result.stats.queue_delay += qd;
                                 arrive(n, z, depth + 1);

@@ -30,12 +30,25 @@ bool earlier(const Time a_when, const std::uint64_t a_seq, const Time b_when,
 }  // namespace
 
 Simulator::Simulator() {
-  // Distinct per instance within a process; never reused, so address reuse
-  // of stack-allocated simulators cannot alias two runs.
-  static std::uint64_t next_id = 0;
-  id_ = ++next_id;
   buckets_.resize(kMinBuckets);
   bucket_mask_ = kMinBuckets - 1;
+}
+
+void* Simulator::attachment(const void* owner) const {
+  for (const Attachment& a : attachments_) {
+    if (a.owner.get() == owner) {
+      return a.state.get();
+    }
+  }
+  return nullptr;
+}
+
+void* Simulator::attach(std::shared_ptr<const void> owner,
+                        std::shared_ptr<void> state) {
+  ARMADA_CHECK(owner != nullptr && state != nullptr);
+  ARMADA_CHECK(attachment(owner.get()) == nullptr);
+  attachments_.push_back(Attachment{std::move(owner), std::move(state)});
+  return attachments_.back().state.get();
 }
 
 void Simulator::schedule_at(Time when, EventFn action) {

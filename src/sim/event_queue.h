@@ -133,10 +133,14 @@ class Simulator {
   Time now() const { return now_; }
   std::uint64_t events_processed() const { return processed_; }
   bool idle() const { return count_ == 0; }
-  /// Process-unique instance id. Stateful layers keyed to one simulation
-  /// (net::Queueing) use it to detect that a different simulator is now
-  /// driving them and reset their per-run state.
-  std::uint64_t id() const { return id_; }
+
+  /// Per-run state a layer above the kernel keeps on this simulation
+  /// (net::Queueing keeps its queues here), one slot per owner. A slot
+  /// and a reference to its owner live exactly as long as the simulator,
+  /// so events scheduled against the state never outlive it, and no later
+  /// owner can reuse a live owner's address. Null before `attach`.
+  void* attachment(const void* owner) const;
+  void* attach(std::shared_ptr<const void> owner, std::shared_ptr<void> state);
 
  private:
   struct Event {
@@ -158,6 +162,12 @@ class Simulator {
   Time min_when();
   void rebuild(std::size_t new_bucket_count);
 
+  struct Attachment {
+    std::shared_ptr<const void> owner;
+    std::shared_ptr<void> state;
+  };
+  /// Declared before the events, so pending events are destroyed first.
+  std::vector<Attachment> attachments_;
   std::vector<std::vector<Event>> buckets_;
   std::size_t bucket_mask_ = 0;  ///< buckets_.size() - 1 (power of two)
   double width_ = 1.0;           ///< seconds of simulated time per bucket
@@ -168,7 +178,6 @@ class Simulator {
   std::size_t sorted_bucket_ = static_cast<std::size_t>(-1);
 
   Time now_ = 0.0;
-  std::uint64_t id_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
 };

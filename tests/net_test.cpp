@@ -140,13 +140,13 @@ TEST(Transport, DeliversAtLinkLatency) {
   Transport t(std::make_shared<UniformJitter>(3, 0.5, 2.5));
   sim::Simulator sim;
   Time arrival = -1.0;
-  t.deliver(sim, 5, 6, [&] { arrival = sim.now(); });
+  t.deliver(sim, 5, 6, 0, [&](Time) { arrival = sim.now(); });
   sim.run();
   EXPECT_EQ(arrival, t.link(5, 6));
 
   // Chained deliveries accumulate like path_latency.
   Time second = -1.0;
-  t.deliver(sim, 6, 7, [&] { second = sim.now(); });
+  t.deliver(sim, 6, 7, 0, [&](Time) { second = sim.now(); });
   sim.run();
   EXPECT_DOUBLE_EQ(second, arrival + t.link(6, 7));
 }

@@ -1,29 +1,30 @@
 // Invariants of the congestion-aware queueing network (src/net/queueing.h)
 // and its Transport integration:
 //
-//  * zero-queue bitwise equivalence — the default QueueingConfig reproduces
-//    the stateless delivery path exactly, for PIRA, the DCF-CAN flood and
-//    walk replays, under every latency model;
+//  * zero-queue bitwise equivalence — installing the default QueueingConfig
+//    changes no result of PIRA, the DCF-CAN flood or walk replays, under
+//    every latency model;
 //  * exact reservation arithmetic — service, bandwidth and coalescing
 //    produce the delivery instants the model promises;
 //  * per-link FIFO order is preserved under coalescing and random load;
 //  * message conservation — sent == delivered + in-flight at every event
 //    boundary, and the queue drains to zero;
 //  * p99 latency is monotone in offered load;
-//  * the const stateless deliver refuses to bypass an active config;
 //  * repair batching — churn-driver repair through the coalescer saves
 //    departures and stays deterministic;
-//  * traffic classes — kFifo timing is class-blind, kWeighted isolates
-//    each class's share, kStrict serves repair ahead of query backlog;
+//  * traffic classes — kFifo timing is class-blind, kStrict serves repair
+//    ahead of query backlog;
 //  * closed-loop flow control — backoff/admission probes track ingress
 //    backlog, hedged retries win via the kHedge lane with the losing copy
 //    cancelled, and admission control degrades range queries into partial
 //    answers whose stats.coverage is the exact served fraction;
-//  * conservation survives LRU eviction of live simulators (the orphaned
-//    delivered-counter path).
+//  * each simulator owns its queue state: backlog and conservation stay
+//    exact with many simulators live on one engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -37,7 +38,6 @@
 #include "sim/workload.h"
 #include "support/test_networks.h"
 #include "support/test_workloads.h"
-#include "util/check.h"
 #include "util/rng.h"
 
 namespace {
@@ -56,7 +56,8 @@ net::QueueingConfig loaded_config() {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-queue bitwise equivalence vs the stateless path.
+// Zero-queue bitwise equivalence: installing the default config changes
+// nothing against a transport that never installed one.
 // ---------------------------------------------------------------------------
 
 TEST(ZeroQueue, PiraQueriesBitwiseEqualStatelessUnderAllModels) {
@@ -116,6 +117,25 @@ TEST(ZeroQueue, DcfFloodBitwiseEqualStatelessUnderAllModels) {
   }
 }
 
+TEST(ZeroQueue, DefaultEngineReportsNoCongestion) {
+  net::Transport transport;
+  sim::Simulator sim;
+  transport.deliver(sim, 0, 1, 64, {});
+  sim.run();
+  // Until a config is installed the default engine carries traffic but the
+  // congestion currency stays all-zero ("no queueing installed").
+  EXPECT_EQ(transport.queueing().delivered(sim), 1u);
+  EXPECT_EQ(transport.congestion(), net::CongestionStats{});
+  transport.install_queueing(net::QueueingConfig{});
+  transport.deliver(sim, 0, 1, 0, {});
+  sim.run();
+  EXPECT_EQ(transport.congestion().messages, 1u);
+  EXPECT_EQ(transport.congestion().batches, 1u);
+  transport.uninstall_queueing();
+  EXPECT_EQ(transport.congestion(), net::CongestionStats{});
+  EXPECT_FALSE(transport.queueing_active());
+}
+
 TEST(ZeroQueue, DeliverWalkMatchesPathLatencyArithmetic) {
   for (const auto& model : testsupport::all_latency_models(kSeed)) {
     auto net = fissione::FissioneNetwork::build(200, kSeed);
@@ -127,7 +147,7 @@ TEST(ZeroQueue, DeliverWalkMatchesPathLatencyArithmetic) {
       const auto route = net.route(net.random_peer(), net.random_object_id());
       sim::Simulator sim;
       sim::QueryStats walk;
-      transport.deliver_walk(sim, route.path, 0,
+      transport.deliver_walk(sim, route.path, {},
                              [&walk](const sim::QueryStats& s) { walk = s; });
       sim.run();
       EXPECT_EQ(walk.latency, transport.path_latency(route.path));
@@ -136,27 +156,6 @@ TEST(ZeroQueue, DeliverWalkMatchesPathLatencyArithmetic) {
                 route.path.empty() ? 0u : route.path.size() - 1);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// The const stateless overload cannot bypass an active config.
-// ---------------------------------------------------------------------------
-
-TEST(TransportSplit, StatelessDeliverRefusesActiveQueueing) {
-  net::Transport transport;
-  sim::Simulator sim;
-  // No config and the zero-queue config: stateless deliveries are fine.
-  transport.deliver(sim, 1, 2, [] {});
-  transport.install_queueing(net::QueueingConfig{});
-  transport.deliver(sim, 1, 2, [] {});
-  // An active config must force traffic onto the sized path.
-  transport.install_queueing(loaded_config());
-  EXPECT_TRUE(transport.queueing_active());
-  EXPECT_THROW(transport.deliver(sim, 1, 2, [] {}), CheckError);
-  transport.deliver(sim, 1, 2, [](sim::Time) {});  // sized path: accepted
-  transport.uninstall_queueing();
-  transport.deliver(sim, 1, 2, [] {});
-  sim.run();
 }
 
 // ---------------------------------------------------------------------------
@@ -246,8 +245,7 @@ TEST(QueueingArithmetic, CoalescingWindowSharesOneDeparture) {
 TEST(QueueingInvariants, PerLinkFifoAndConservationUnderRandomLoad) {
   net::Transport transport;
   transport.install_queueing(loaded_config());
-  const net::Queueing* queueing = transport.queueing();
-  ASSERT_NE(queueing, nullptr);
+  const net::Queueing& queueing = transport.queueing();
 
   sim::Simulator sim;
   Rng rng(kSeed + 6);
@@ -273,15 +271,15 @@ TEST(QueueingInvariants, PerLinkFifoAndConservationUnderRandomLoad) {
         seen_seq[{from, to}].push_back(i);
         // Message conservation at an event boundary: everything sent was
         // either delivered or is still in flight.
-        EXPECT_EQ(queueing->sent(), test_sent);
-        EXPECT_EQ(queueing->delivered(), test_delivered);
-        EXPECT_EQ(queueing->in_flight(), test_sent - test_delivered);
+        EXPECT_EQ(queueing.sent(sim), test_sent);
+        EXPECT_EQ(queueing.delivered(sim), test_delivered);
+        EXPECT_EQ(queueing.in_flight(sim), test_sent - test_delivered);
       });
     });
   }
   sim.run();
   EXPECT_EQ(test_delivered, static_cast<std::uint64_t>(kMessages));
-  EXPECT_EQ(queueing->in_flight(), 0u);
+  EXPECT_EQ(queueing.in_flight(sim), 0u);
   EXPECT_EQ(transport.congestion().messages,
             static_cast<std::uint64_t>(kMessages));
   EXPECT_EQ(seen_seq, sent_seq);  // per-link FIFO survives coalescing
@@ -299,12 +297,14 @@ TEST(QueueingInvariants, P99LatencyMonotoneInOfferedLoad) {
   for (const double gap : {4.0, 0.5, 0.0625}) {
     net.install_queueing(cfg);
     net::Transport& transport = net.transport();
+    net::Transport::WalkOptions options;
+    options.bytes = transport.default_message_bytes();
     sim::MetricSet metrics(6.0);
     sim::Simulator sim;
     for (std::size_t i = 0; i < walks.size(); ++i) {
       sim.schedule_at(static_cast<double>(i) * gap, [&, i] {
         transport.deliver_walk(
-            sim, walks[i], transport.default_message_bytes(),
+            sim, walks[i], options,
             [&metrics](const sim::QueryStats& s) { metrics.add(s); });
       });
     }
@@ -402,16 +402,17 @@ TEST(ZeroQueue, SizedMessagesAreNotZeroQueue) {
   net::QueueingConfig cfg;
   cfg.default_message_bytes = 64;
   // Regression: a config that only sizes messages still prices them
-  // (bytes_on_wire) and must not degenerate to the stateless path, which
-  // would silently drop the byte accounting.
+  // (bytes_on_wire) and must not count as zero-queue, which would
+  // silently drop the byte accounting.
   EXPECT_FALSE(cfg.zero_queue());
   net::Transport transport;
   transport.install_queueing(cfg);
   EXPECT_TRUE(transport.queueing_active());
   sim::Simulator sim;
-  EXPECT_THROW(transport.deliver(sim, 0, 1, [] {}), CheckError);
   sim::QueryStats walk;
-  transport.deliver_walk(sim, {0, 1, 2}, transport.default_message_bytes(),
+  net::Transport::WalkOptions options;
+  options.bytes = transport.default_message_bytes();
+  transport.deliver_walk(sim, {0, 1, 2}, options,
                          [&walk](const sim::QueryStats& s) { walk = s; });
   sim.run();
   // Timing is untouched (nothing else is priced), but bytes are counted.
@@ -435,43 +436,79 @@ TEST(CongestionStats, BatchOccupancyMeanIsOneWhenNothingCoalesced) {
   EXPECT_DOUBLE_EQ(transport.congestion().batch_occupancy_mean(), 1.5);
 }
 
-TEST(QueueingInvariants, ConservationSurvivesLruEvictionOfLiveSimulators) {
-  net::Transport transport;
-  transport.install_queueing(loaded_config());
-  const net::Queueing* queueing = transport.queueing();
-  ASSERT_NE(queueing, nullptr);
+TEST(QueueingInvariants, ConcurrentSimulatorsKeepTheirOwnQueueState) {
+  // Six simulators carry live traffic through one engine at once. Each
+  // owns its queue state, so none is reset underneath its own traffic:
+  // every simulator's ingress backlog and message conservation stay exact
+  // at every event boundary.
+  net::Transport transport;  // ConstantHop(1.0)
+  net::QueueingConfig cfg;
+  cfg.service_rate = 1.0;
+  transport.install_queueing(cfg);
+  const net::Queueing& queueing = transport.queueing();
 
-  sim::Simulator sim_a;
-  transport.deliver(sim_a, 0, 1, 64, [](sim::Time) {});
-  EXPECT_EQ(queueing->sent(), 1u);
-  EXPECT_EQ(queueing->in_flight(), 1u);
-
-  // Fill every remaining state slot (kMaxSimStates = 4) with simulators
-  // whose deliveries are still pending, so the next new simulator has no
-  // drained victim and must evict sim_a's state while its delivery is in
-  // flight — orphaning the delivered counter.
-  sim::Simulator sim_b;
-  sim::Simulator sim_c;
-  sim::Simulator sim_d;
-  for (sim::Simulator* s : {&sim_b, &sim_c, &sim_d}) {
-    transport.deliver(*s, 0, 1, 64, [](sim::Time) {});
+  constexpr net::NodeId kNodes = 4;
+  struct Run {
+    sim::Simulator sim;
+    std::uint64_t sent = 0;
+    std::uint64_t delivered = 0;
+    /// (target, delivery instant) of every message sent on this run.
+    std::vector<std::pair<net::NodeId, sim::Time>> messages;
+  };
+  std::array<Run, 6> runs;
+  auto check = [&queueing](const Run& run) {
+    EXPECT_EQ(queueing.sent(run.sim), run.sent);
+    EXPECT_EQ(queueing.delivered(run.sim), run.delivered);
+    EXPECT_EQ(queueing.in_flight(run.sim), run.sent - run.delivered);
+    for (net::NodeId n = 0; n < kNodes; ++n) {
+      const auto pending = std::count_if(
+          run.messages.begin(), run.messages.end(), [&](const auto& m) {
+            return m.first == n && m.second > run.sim.now();
+          });
+      EXPECT_EQ(queueing.ingress_backlog(run.sim, n),
+                static_cast<std::size_t>(pending));
+    }
+  };
+  Rng rng(kSeed + 13);
+  // Each arrival forwards the message until its hops run out, so every
+  // simulator keeps reserving while the others run.
+  std::function<void(Run&, int)> send = [&](Run& run, int hops) {
+    const auto from = static_cast<net::NodeId>(rng.next_index(kNodes));
+    const auto to = static_cast<net::NodeId>((from + 1 + rng.next_index(
+                                                             kNodes - 1)) %
+                                             kNodes);
+    ++run.sent;
+    const sim::Time at =
+        transport.deliver(run.sim, from, to, 0, [&, r = &run, hops](sim::Time) {
+          ++r->delivered;
+          check(*r);
+          if (hops > 0) {
+            send(*r, hops - 1);
+          }
+        });
+    run.messages.emplace_back(to, at);
+  };
+  for (Run& run : runs) {
+    for (int i = 0; i < 6; ++i) {
+      send(run, 3);
+    }
   }
-  sim::Simulator sim_e;
-  transport.deliver(sim_e, 0, 1, 64, [](sim::Time) {});
-
-  // The orphaned delivery fires against the evicted state's counter.
-  sim_a.run();
-
-  // A fresh send on sim_a builds a clean state: conservation holds on the
-  // new counters, unaffected by the orphaned delivery above.
-  transport.deliver(sim_a, 2, 3, 64, [](sim::Time) {});
-  EXPECT_EQ(queueing->sent(), 1u);
-  EXPECT_EQ(queueing->delivered(), 0u);
-  EXPECT_EQ(queueing->in_flight(), 1u);
-  sim_a.run();
-  EXPECT_EQ(queueing->sent(), 1u);
-  EXPECT_EQ(queueing->delivered(), 1u);
-  EXPECT_EQ(queueing->in_flight(), 0u);
+  for (const Run& run : runs) {
+    check(run);
+    EXPECT_GT(queueing.in_flight(run.sim), 0u);
+  }
+  // Advance the simulators in lockstep, probing all of them between steps.
+  for (sim::Time t = 0.5; t < 200.0; t += 0.5) {
+    for (Run& run : runs) {
+      run.sim.run_until(t);
+      check(run);
+    }
+  }
+  for (const Run& run : runs) {
+    EXPECT_TRUE(run.sim.idle());
+    EXPECT_EQ(run.delivered, 24u);
+    EXPECT_EQ(queueing.in_flight(run.sim), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -509,34 +546,6 @@ TEST(TrafficClasses, FifoTimingIsClassBlind) {
   EXPECT_EQ(untagged_stats.class_messages[net::class_index(
                 net::TrafficClass::kQuery)],
             12u);
-}
-
-TEST(TrafficClasses, WeightedSharesIsolateRepairFromQueryBacklog) {
-  net::Transport transport;  // ConstantHop(1.0)
-  net::QueueingConfig cfg;
-  cfg.service_rate = 1.0;
-  cfg.scheduling = net::QueueingConfig::Scheduling::kWeighted;
-  transport.install_queueing(cfg);
-  sim::Simulator sim;
-  std::vector<sim::Time> query;
-  std::vector<sim::Time> repair;
-  for (int i = 0; i < 2; ++i) {
-    transport.deliver(
-        sim, 0, 1, 0,
-        [&query, &sim](sim::Time) { query.push_back(sim.now()); }, 0.0,
-        net::TrafficClass::kQuery);
-  }
-  transport.deliver(
-      sim, 0, 1, 0,
-      [&repair, &sim](sim::Time) { repair.push_back(sim.now()); }, 0.0,
-      net::TrafficClass::kRepair);
-  sim.run();
-  // Four equal weights: each class owns a quarter of the server — 4.0 per
-  // message in its lane. The queries serialize behind each other only
-  // (egress 4/8, +1 propagation, ingress 9/13); repair rides its own lane
-  // and lands with the first query no matter how deep the query lane is.
-  EXPECT_EQ(query, (std::vector<sim::Time>{9.0, 13.0}));
-  EXPECT_EQ(repair, (std::vector<sim::Time>{9.0}));
 }
 
 TEST(TrafficClasses, StrictPriorityServesRepairAheadOfQueryBacklog) {

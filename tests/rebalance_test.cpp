@@ -32,6 +32,7 @@
 #include "net/queueing.h"
 #include "net/transport.h"
 #include "rebalance/rebalance.h"
+#include "replica/replication.h"
 #include "sim/event_queue.h"
 #include "sim/workload.h"
 #include "support/test_networks.h"
@@ -228,6 +229,50 @@ TEST(DelegationRegistry, PublishRoutesIntoHostedRange) {
   const auto payloads = net.lookup(net.alive_peers().front(), oid);
   EXPECT_NE(std::find(payloads.begin(), payloads.end(), 9999u),
             payloads.end());
+}
+
+TEST(DelegationRegistry, ReplicaHolderHostingAMigratedSliceEndsSynced) {
+  FissioneNetwork net = FissioneNetwork::build(60, 5);
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    net.publish(net.random_object_id(), i);
+  }
+  const PeerId donor = fattest_peer(net);
+  const KautzString range = net.peer(donor).peer_id;
+  const KautzString region = range.prefix(range.length() - 1);
+  replica::ReplicationConfig cfg;
+  cfg.max_replicas = 1;
+  cfg.region_prefix_len = region.length();
+
+  // Where the region's replica goes (a pure function of the membership).
+  replica::ReplicaStats probe_stats;
+  replica::ReplicationManager probe(net, cfg, probe_stats);
+  sim::Simulator probe_sim;
+  probe.replicate(probe_sim, region);
+  ASSERT_NE(probe.find(region), nullptr);
+  const PeerId holder = probe.find(region)->holders.front().peer;
+
+  // Migrate the donor's slice to the future holder.
+  auto detached = net.detach_range(range);
+  ASSERT_FALSE(detached.empty());
+  const std::size_t slice = detached.size();
+  net.delegate_range(range, holder, std::move(detached));
+
+  // Syncing the holder moves only the other primaries' objects; its own
+  // slice stays put (a transfer to itself has no link to price).
+  replica::ReplicaStats stats;
+  replica::ReplicationManager manager(net, cfg, stats);
+  sim::Simulator sim;
+  manager.replicate(sim, region);
+  const auto* replica = manager.find(region);
+  ASSERT_NE(replica, nullptr);
+  ASSERT_EQ(replica->holders.front().peer, holder);
+  ASSERT_GT(stats.placement_messages, 0u);
+  EXPECT_EQ(stats.placement_messages + 1, probe_stats.placement_messages);
+  EXPECT_FALSE(replica->holders.front().synced);
+  sim.run();
+  EXPECT_TRUE(manager.find(region)->holders.front().synced);
+  EXPECT_EQ(stats.replica_objects, probe_stats.replica_objects);
+  EXPECT_GE(stats.replica_objects, slice);
 }
 
 TEST(DelegationRegistry, HostDepartureReturnsObjectsHostCrashDropsThem) {
